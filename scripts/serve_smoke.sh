@@ -7,7 +7,9 @@
 #            *_total counter must be monotonic between the scrapes.
 #   phase B: the same replay run twice end-to-end — the final counter
 #            values (solver, rescheduler, serve lifecycle) must be
-#            bit-identical across the two runs.
+#            bit-identical across the two runs, and equal to what
+#            `dls online --loads` reports for the same files (both
+#            replay through the same engine).
 #   phase C: SIGTERM mid-grace — /health must report "draining" before
 #            the daemon exits cleanly (code 0).
 #
@@ -143,6 +145,17 @@ cmp "$TMP/b1.stats" "$TMP/b2.stats" || {
   diff "$TMP/b1.stats" "$TMP/b2.stats" >&2 || true
   exit 1
 }
+
+"$DLS" online --loads --platform "$TMP/plat" --workload "$TMP/replay.workload" \
+  --json > "$TMP/online.json"
+for field in completed reschedules warm_solves cold_solves; do
+  daemon=$(grep -o "\"$field\":[0-9]*" "$TMP/b1.stats")
+  online=$(grep -o "\"$field\":[0-9]*" "$TMP/online.json")
+  [ -n "$daemon" ] && [ "$daemon" = "$online" ] || {
+    echo "serve_smoke: daemon /stats $daemon but dls online --loads $online" >&2
+    exit 1
+  }
+done
 
 echo "== phase C: SIGTERM -> draining health -> clean exit"
 rm -f "$TMP/port"

@@ -3,6 +3,7 @@
 #include <csignal>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 
 #include "campaign/runner.hpp"
@@ -646,38 +647,34 @@ online::Workload workload_from_args(Args& args, int num_clusters,
   return workload;
 }
 
-/// Scheduling options shared by `online` and `dynamics`. `warm_name`
-/// receives the --warm spelling for reporting.
+/// --warm for every rescheduler; `warm_name` receives the spelling for
+/// reporting.
+online::WarmPolicy warm_from_args(Args& args, std::string* warm_name) {
+  const std::string warm = args.get_string("warm", "auto");
+  if (warm_name != nullptr) *warm_name = warm;
+  if (warm == "auto") return online::WarmPolicy::Auto;
+  if (warm == "never") return online::WarmPolicy::Never;
+  if (warm == "always") return online::WarmPolicy::Always;
+  throw Error("--warm: expected auto|never|always");
+}
+
+/// Objective and warm policy of the shared multi-load LP (`dls serve`
+/// and `dls online --loads`).
+online::MultiReschedulerOptions multi_options_from_args(Args& args,
+                                                        std::string* warm_name) {
+  online::MultiReschedulerOptions options;
+  options.warm = warm_from_args(args, warm_name);
+  const std::string obj = args.get_string("objective", "sum");
+  require(core::parse_multi_objective(obj, options.solve.objective),
+          "--objective: expected sum|maxmin|pf");
+  return options;
+}
+
+/// Single-load scheduling options shared by `online` and `dynamics`.
+/// `warm_name` receives the --warm spelling for reporting.
 online::OnlineOptions online_options_from_args(Args& args, std::string* warm_name) {
   online::OnlineOptions options;
-  const std::string warm = args.get_string("warm", "auto");
-  online::WarmPolicy warm_policy = online::WarmPolicy::Auto;
-  if (warm == "auto") {
-    warm_policy = online::WarmPolicy::Auto;
-  } else if (warm == "never") {
-    warm_policy = online::WarmPolicy::Never;
-  } else if (warm == "always") {
-    warm_policy = online::WarmPolicy::Always;
-  } else {
-    throw Error("--warm: expected auto|never|always");
-  }
-  if (warm_name != nullptr) *warm_name = warm;
-
-  // --loads: shared multi-load LP mode. Every active arrival is a column
-  // block of one joint program, so the per-app heuristic axis (--method)
-  // does not apply and rates always come from the LP itself.
-  options.multi_load = args.get_flag("loads");
-  if (options.multi_load) {
-    const std::string obj = args.get_string("objective", "sum");
-    require(core::parse_multi_objective(obj, options.multi.solve.objective),
-            "--objective: expected sum|maxmin|pf");
-    options.multi.warm = warm_policy;
-    require(args.get_string("rate-model", "fluid") == "fluid",
-            "--loads: requires --rate-model fluid "
-            "(rates come from the shared LP, not the packet simulator)");
-    return options;
-  }
-
+  const online::WarmPolicy warm_policy = warm_from_args(args, warm_name);
   const std::string method = args.get_string("method", "g");
   if (method == "g") {
     options.sched.method = online::Method::Greedy;
@@ -758,12 +755,12 @@ int run_replicated(Args& args, std::ostream& out, std::uint64_t seed, int reps,
   spec.replications = reps;
   spec.platforms = {platform_source_from_args(args)};
   campaign::WorkloadSource wl = workload_source_from_args(args);
-  std::string warm;
-  const online::OnlineOptions options = online_options_from_args(args, &warm);
-  require(!options.multi_load,
+  require(!args.get_flag("loads"),
           "--loads is not supported with --reps (the campaign runner drives "
           "the single-load stream kernel; use the `loads` axis of a .campaign "
           "spec for replicated multi-load runs)");
+  std::string warm;
+  const online::OnlineOptions options = online_options_from_args(args, &warm);
   spec.methods = {to_campaign(options.sched.method)};
   spec.objectives = {options.sched.objective};
   spec.warm = {options.sched.warm};
@@ -816,6 +813,39 @@ int run_replicated(Args& args, std::ostream& out, std::uint64_t seed, int reps,
   return 0;
 }
 
+/// `dls online --loads`: replays the workload through the shared-LP
+/// engine to the end and reports it in the single-load report's shape
+/// (every arrival is admitted at once, so nothing queues).
+online::OnlineReport replay_loads(const platform::Platform& plat,
+                                  const online::Workload& workload,
+                                  const serve::EngineOptions& options) {
+  workload.validate(plat.num_clusters());
+  serve::ServeEngine engine(plat, options);
+  const std::vector<dynamics::PlatformEvent> no_events;
+  serve::Replay replay{workload.arrivals, no_events};
+  while (engine.replay_step(replay, std::numeric_limits<double>::infinity())) {
+  }
+  require(engine.active_count() == 0,
+          "online engine stalled: active applications but no draining rate "
+          "and no arrivals pending");
+  const serve::EngineCounters& c = engine.counters();
+  online::OnlineReport report;
+  report.arrivals = workload.size();
+  report.completed = static_cast<int>(c.completed);
+  report.reschedules = static_cast<int>(c.reschedules);
+  report.warm_solves = static_cast<int>(c.warm_solves);
+  report.cold_solves = static_cast<int>(c.cold_solves);
+  report.repaired_solves = static_cast<int>(c.repaired_solves);
+  report.warm_seconds = c.warm_seconds;
+  report.cold_seconds = c.cold_seconds;
+  report.makespan = c.makespan;
+  report.total_work = c.total_work;
+  report.peak_active = c.peak_active;
+  report.metrics = engine.metrics();
+  report.apps = engine.apps();
+  return report;
+}
+
 int cmd_online(Args& args, std::ostream& out) {
   const std::uint64_t seed = args.get_u64("seed", 1);
   const int reps = args.get_int("reps", 1);
@@ -827,24 +857,35 @@ int cmd_online(Args& args, std::ostream& out) {
   const platform::Platform plat = platform_from_args(args, seed);
   const online::Workload workload =
       workload_from_args(args, plat.num_clusters(), seed);
+  // --loads: every arrival is a column block of one shared LP, so the
+  // per-app heuristic axis (--method) does not apply and rates always
+  // come from the LP itself.
+  const bool loads = args.get_flag("loads");
   std::string warm;
-  const online::OnlineOptions options = online_options_from_args(args, &warm);
+  online::OnlineOptions options;
+  serve::EngineOptions loads_options;
+  if (loads) {
+    loads_options.sched = multi_options_from_args(args, &warm);
+    require(args.get_string("rate-model", "fluid") == "fluid",
+            "--loads: requires --rate-model fluid "
+            "(rates come from the shared LP, not the packet simulator)");
+  } else {
+    options = online_options_from_args(args, &warm);
+  }
   const bool json = args.get_flag("json");
   args.reject_unknown();
 
-  const online::OnlineEngine engine(plat, options);
   WallTimer timer;
-  const online::OnlineReport report = engine.run(workload);
+  const online::OnlineReport report =
+      loads ? replay_loads(plat, workload, loads_options)
+            : online::OnlineEngine(plat, options).run(workload);
   const double wall = timer.seconds();
 
-  // In --loads mode there is no per-app heuristic; the "method" is the
-  // shared LP and the objective is the multi-load one.
   const std::string method_label =
-      options.multi_load ? "shared-lp"
-                         : std::string(to_string(options.sched.method));
+      loads ? "shared-lp" : std::string(to_string(options.sched.method));
   const std::string objective_label =
-      options.multi_load ? core::to_string(options.multi.solve.objective)
-                         : std::string(to_string(options.sched.objective));
+      loads ? core::to_string(loads_options.sched.solve.objective)
+            : std::string(to_string(options.sched.objective));
 
   std::vector<double> responses;
   responses.reserve(report.apps.size());
@@ -925,11 +966,11 @@ int cmd_dynamics(Args& args, std::ostream& out) {
   const platform::Platform plat = platform_from_args(args, seed);
   const online::Workload workload =
       workload_from_args(args, plat.num_clusters(), seed);
-  std::string warm;
-  const online::OnlineOptions options = online_options_from_args(args, &warm);
-  require(!options.multi_load,
+  require(!args.get_flag("loads"),
           "--loads applies to `dls online`; the dynamics report compares the "
           "per-app scheduler against its static baseline");
+  std::string warm;
+  const online::OnlineOptions options = online_options_from_args(args, &warm);
 
   // Event trace: a .events file, or a generated failure/drift/churn
   // scenario (one ChurnScenarioGrid cell). The horizon defaults to
@@ -1065,19 +1106,7 @@ int cmd_serve(Args& args, std::ostream& out) {
   options.port_file = args.get_string("port-file", "");
   options.engine.max_loads = args.get_int("max-loads", 0);
   options.engine.load_eps = args.get_double("load-eps", 1e-6);
-  const std::string obj = args.get_string("objective", "sum");
-  require(core::parse_multi_objective(obj, options.engine.sched.solve.objective),
-          "--objective: expected sum|maxmin|pf");
-  const std::string warm = args.get_string("warm", "auto");
-  if (warm == "auto") {
-    options.engine.sched.warm = online::WarmPolicy::Auto;
-  } else if (warm == "never") {
-    options.engine.sched.warm = online::WarmPolicy::Never;
-  } else if (warm == "always") {
-    options.engine.sched.warm = online::WarmPolicy::Always;
-  } else {
-    throw Error("--warm: expected auto|never|always");
-  }
+  options.engine.sched = multi_options_from_args(args, nullptr);
 
   const std::string replay_path = args.get_string("replay", "");
   if (!replay_path.empty()) {

@@ -28,7 +28,6 @@ OnlineReport OnlineEngine::run(const Workload& workload) const {
 
 OnlineReport OnlineEngine::run(const Workload& workload,
                                const dynamics::EventTrace& trace) const {
-  if (options_.multi_load) return run_multi(workload, trace);
   const int n = plat_->num_clusters();
   workload.validate(n);
   trace.validate(*plat_);
@@ -239,192 +238,6 @@ OnlineReport OnlineEngine::run(const Workload& workload,
       }
     }
     report.peak_active = std::max(report.peak_active, num_active);
-
-    if (support_changed || platform_changed) reschedule();
-  }
-
-  return report;
-}
-
-// Multi-load replay: same event skeleton as run() but with concurrent
-// applications per cluster and rates from the shared LP. No queues — an
-// arrival is admitted the moment its home cluster is present.
-OnlineReport OnlineEngine::run_multi(const Workload& workload,
-                                     const dynamics::EventTrace& trace) const {
-  require(options_.rate_model == RateModel::Fluid,
-          "OnlineEngine: multi-load mode requires RateModel::Fluid (the "
-          "periodic-schedule reconstruction is single-load)");
-  const int n = plat_->num_clusters();
-  workload.validate(n);
-  trace.validate(*plat_);
-  for (const AppArrival& a : workload.arrivals) {
-    require(a.load > options_.load_eps,
-            "OnlineEngine: application loads must exceed load_eps");
-    require(a.payoff > 0.0,
-            "OnlineEngine: multi-load mode uses payoffs as objective "
-            "weights; they must be positive");
-  }
-
-  OnlineReport report;
-  report.arrivals = workload.size();
-  report.apps.reserve(workload.arrivals.size());
-  for (std::size_t i = 0; i < workload.arrivals.size(); ++i) {
-    const AppArrival& a = workload.arrivals[i];
-    AppRecord rec;
-    rec.id = static_cast<int>(i);
-    rec.cluster = a.cluster;
-    rec.payoff = a.payoff;
-    rec.load = a.load;
-    rec.arrival = a.time;
-    report.apps.push_back(rec);
-  }
-
-  dynamics::DynamicPlatform dyn(*plat_);
-  const platform::Platform& plat = dyn.plat();
-  double total_speed = 0.0;
-  for (int k = 0; k < n; ++k) total_speed += plat.cluster(k).speed;
-
-  MultiLoadRescheduler scheduler(plat, options_.multi);
-
-  std::vector<int> active_ids;  // admission order; erased on departure
-  std::vector<double> remaining(workload.arrivals.size(), 0.0);
-  std::vector<double> rate(workload.arrivals.size(), 0.0);
-  std::vector<ActiveLoad> loads;           // scratch for reschedule calls
-  std::vector<double> weighted_rates;      // scratch for the fairness metric
-  double now = 0.0;
-  std::size_t next_arrival = 0;
-  std::size_t next_event = 0;
-
-  const auto reschedule = [&] {
-    for (int app : active_ids) rate[app] = 0.0;
-    if (active_ids.empty()) return;
-    loads.clear();
-    for (int app : active_ids)
-      loads.push_back({app, report.apps[app].cluster, report.apps[app].payoff});
-    const MultiReschedule r = scheduler.reschedule(loads);
-    ++report.reschedules;
-    if (r.warm) {
-      ++report.warm_solves;
-      report.repaired_solves += r.repaired;
-      report.warm_seconds += r.seconds;
-    } else {
-      ++report.cold_solves;
-      report.cold_seconds += r.seconds;
-    }
-    for (std::size_t i = 0; i < active_ids.size(); ++i)
-      rate[active_ids[i]] = r.rate[i];
-  };
-
-  const auto abort_app = [&](int app) {
-    AppRecord& rec = report.apps[app];
-    rec.depart = now;
-    rec.outcome = AppOutcome::AbortedChurn;
-    ++report.aborted;
-  };
-
-  while (next_arrival < workload.arrivals.size() || !active_ids.empty()) {
-    const double t_arrival = next_arrival < workload.arrivals.size()
-                                 ? workload.arrivals[next_arrival].time
-                                 : kInf;
-    const double t_platform = next_event < trace.events.size()
-                                  ? trace.events[next_event].time
-                                  : kInf;
-    double t_drain = kInf;
-    for (int app : active_ids) {
-      if (rate[app] <= 0.0) continue;
-      t_drain = std::min(t_drain, now + remaining[app] / rate[app]);
-    }
-    double t_next = std::min({t_arrival, t_drain, t_platform});
-    require(std::isfinite(t_next),
-            "online engine stalled: active applications but no draining rate "
-            "and no arrivals or platform events pending");
-    t_next = std::max(t_next, now);
-
-    const double dt = t_next - now;
-    if (dt > 0.0) {
-      double work_rate = 0.0;
-      weighted_rates.clear();
-      for (int app : active_ids) {
-        work_rate += rate[app];
-        weighted_rates.push_back(report.apps[app].payoff * rate[app]);
-        remaining[app] -= rate[app] * dt;
-        report.total_work += rate[app] * dt;
-      }
-      report.metrics.record_interval(dt, work_rate, total_speed, weighted_rates);
-    }
-    now = t_next;
-
-    bool support_changed = false;
-    // Departures due now.
-    std::size_t keep = 0;
-    for (std::size_t i = 0; i < active_ids.size(); ++i) {
-      const int app = active_ids[i];
-      if (remaining[app] > options_.load_eps) {
-        active_ids[keep++] = app;
-        continue;
-      }
-      AppRecord& rec = report.apps[app];
-      rec.depart = now;
-      rec.outcome = AppOutcome::Completed;
-      const double speed = plat.cluster(rec.cluster).speed;
-      rec.slowdown =
-          speed > 0.0 ? rec.response() / (rec.load / speed) : 0.0;
-      report.metrics.record_completion(rec);
-      ++report.completed;
-      report.makespan = now;
-      support_changed = true;
-    }
-    active_ids.resize(keep);
-    // Platform events due now.
-    dynamics::ChangeScope scope = dynamics::ChangeScope::None;
-    while (next_event < trace.events.size() &&
-           trace.events[next_event].time <= now) {
-      const dynamics::PlatformEvent& ev = trace.events[next_event++];
-      scope = merge_scope(scope, dyn.apply(ev));
-      ++report.platform_events;
-      if (ev.kind == dynamics::EventKind::ClusterLeave) {
-        const int c = ev.target;
-        keep = 0;
-        for (std::size_t i = 0; i < active_ids.size(); ++i) {
-          const int app = active_ids[i];
-          if (report.apps[app].cluster != c) {
-            active_ids[keep++] = app;
-            continue;
-          }
-          abort_app(app);
-          support_changed = true;
-        }
-        active_ids.resize(keep);
-      }
-    }
-    bool platform_changed = false;
-    if (scope != dynamics::ChangeScope::None) {
-      platform_changed = true;
-      if (scope == dynamics::ChangeScope::Capacity) {
-        scheduler.platform_capacity_changed();
-      } else {
-        scheduler.platform_topology_changed();
-      }
-      total_speed = 0.0;
-      for (int k = 0; k < n; ++k) total_speed += plat.cluster(k).speed;
-    }
-    // Arrivals due now: admitted immediately (no per-cluster exclusivity).
-    while (next_arrival < workload.arrivals.size() &&
-           workload.arrivals[next_arrival].time <= now) {
-      const int app = static_cast<int>(next_arrival++);
-      const int c = report.apps[app].cluster;
-      if (!dyn.cluster_present(c)) {
-        report.apps[app].outcome = AppOutcome::RejectedChurn;
-        ++report.rejected;
-        continue;
-      }
-      active_ids.push_back(app);
-      remaining[app] = report.apps[app].load;
-      report.apps[app].admit = now;
-      support_changed = true;
-    }
-    report.peak_active =
-        std::max(report.peak_active, static_cast<int>(active_ids.size()));
 
     if (support_changed || platform_changed) reschedule();
   }

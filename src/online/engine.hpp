@@ -8,6 +8,12 @@
 // changes the payoff vector and triggers a reschedule; an arrival that
 // merely joins a queue does not.
 //
+// This is the single-load engine (one application per cluster, rates
+// from a per-app heuristic or the LP bound). The multi-load semantics —
+// any number of concurrent loads per cluster as column blocks of one
+// shared LP, no queues — live in serve::ServeEngine (src/serve/), which
+// `dls online --loads` replays through.
+//
 // Event model: the engine advances from event to event (next arrival vs
 // earliest projected drain). Unlike sim::SimEngine's lazily-invalidated
 // calendar — where one completion perturbs only its connected component
@@ -72,14 +78,6 @@ struct OnlineOptions {
   /// Remaining load at or below this is treated as drained (absolute;
   /// loads are O(100) so this absorbs accumulated drain rounding).
   double load_eps = 1e-6;
-  /// Multi-load mode (ISSUE 8): every arrival is admitted immediately as
-  /// a load in ONE shared LP (MultiLoadRescheduler) — clusters host any
-  /// number of concurrent applications and no FIFO queues form
-  /// (queued_arrivals/peak_queued stay 0). Arrival payoffs become the
-  /// loads' objective weights and must be positive. Requires
-  /// RateModel::Fluid; `sched` is ignored in favour of `multi`.
-  bool multi_load = false;
-  MultiReschedulerOptions multi;
 };
 
 struct OnlineReport {
@@ -123,9 +121,6 @@ public:
                                  const dynamics::EventTrace& trace) const;
 
 private:
-  [[nodiscard]] OnlineReport run_multi(const Workload& workload,
-                                       const dynamics::EventTrace& trace) const;
-
   const platform::Platform* plat_;
   OnlineOptions options_;
 };

@@ -130,46 +130,16 @@ private:
   /// Earliest pending virtual event (replay arrival, replay platform
   /// event, or fluid completion); kInf when none.
   [[nodiscard]] double next_due() const {
-    double t = engine_.next_completion();
-    if (next_arrival_ < options_.replay.arrivals.size())
-      t = std::min(t, options_.replay.arrivals[next_arrival_].time);
-    if (next_event_ < options_.events.events.size())
-      t = std::min(t, options_.events.events[next_event_].time);
-    return t;
+    return std::min(replay_.next_time(), engine_.next_completion());
   }
 
-  /// Replays everything due under the wall budget, preserving
-  /// run_multi's tie order (completions, then platform events, then
-  /// arrivals). Bounded per call so sockets stay responsive at
+  /// Replays everything due under the wall budget, one engine replay
+  /// step per timestamp. Bounded per call so sockets stay responsive at
   /// unlimited speed.
   void pump_replay() {
     const double budget = vt_budget();
-    for (int step = 0; step < 512; ++step) {
-      const double t_arr = next_arrival_ < options_.replay.arrivals.size()
-                               ? options_.replay.arrivals[next_arrival_].time
-                               : kInf;
-      const double t_ev = next_event_ < options_.events.events.size()
-                              ? options_.events.events[next_event_].time
-                              : kInf;
-      const double t_done = engine_.next_completion();
-      const double t = std::min({t_arr, t_ev, t_done});
-      // Note infinity <= infinity: an explicit finiteness check, or an
-      // idle daemon at unlimited speed would advance_to(inf).
-      if (!std::isfinite(t) || !(t <= budget)) break;
-      if (t_done <= t_ev && t_done <= t_arr) {
-        engine_.advance_to(t_done);
-      } else if (t_ev <= t_arr) {
-        (void)engine_.apply_event(t_ev, options_.events.events[next_event_++]);
-      } else {
-        const online::AppArrival& a = options_.replay.arrivals[next_arrival_++];
-        (void)engine_.arrive(t_arr, a.cluster, a.payoff, a.load, a.name);
-      }
-    }
-  }
-
-  [[nodiscard]] bool replay_exhausted() const {
-    return next_arrival_ >= options_.replay.arrivals.size() &&
-           next_event_ >= options_.events.events.size();
+    for (int step = 0; step < 512; ++step)
+      if (!engine_.replay_step(replay_, budget)) break;
   }
 
   void begin_drain(const std::string& why) {
@@ -182,8 +152,7 @@ private:
     // A drain abandons the replay pace: skip unfed arrivals/events and
     // fast-forward the remaining fluid schedule so shutdown is prompt
     // at any --speed.
-    next_arrival_ = options_.replay.arrivals.size();
-    next_event_ = options_.events.events.size();
+    replay_.skip_rest();
     for (double t = engine_.next_completion(); std::isfinite(t);
          t = engine_.next_completion())
       engine_.advance_to(t);
@@ -218,9 +187,7 @@ private:
     out += ",\"cold_solves\":" + std::to_string(c.cold_solves);
     out += ",\"repaired_solves\":" + std::to_string(c.repaired_solves);
     out += ",\"platform_events\":" + std::to_string(c.platform_events);
-    out += ",\"replay_pending\":" +
-           std::to_string(options_.replay.arrivals.size() - next_arrival_ +
-                          options_.events.events.size() - next_event_);
+    out += ",\"replay_pending\":" + std::to_string(replay_.pending());
     out += ",\"response_mean\":" + obs::format_double(m.response.mean());
     out += ",\"slowdown_mean\":" + obs::format_double(m.slowdown.mean());
     out += ",\"utilization_mean\":" + obs::format_double(m.utilization.mean());
@@ -429,8 +396,7 @@ private:
 
   DaemonOptions options_;
   ServeEngine engine_;
-  std::size_t next_arrival_ = 0;
-  std::size_t next_event_ = 0;
+  Replay replay_{options_.replay.arrivals, options_.events.events};
   std::uint64_t start_ns_ = 0;
   std::uint64_t drain_started_ns_ = 0;
   std::map<int, Conn> conns_;
@@ -480,7 +446,7 @@ DaemonReport Daemon::run() {
         if (exit_reason.empty()) exit_reason = "drained";
         break;
       }
-    } else if (options_.exit_after_replay && replay_exhausted() &&
+    } else if (options_.exit_after_replay && replay_.pending() == 0 &&
                engine_.active_count() == 0 &&
                !std::isfinite(engine_.next_completion())) {
       begin_drain("replay complete");

@@ -92,6 +92,13 @@ void ServeEngine::refresh_total_speed() {
     total_speed_ += dyn_.plat().cluster(k).speed;
 }
 
+double Replay::next_time() const {
+  double t = kInf;
+  if (next_arrival < arrivals.size()) t = arrivals[next_arrival].time;
+  if (next_event < events.size()) t = std::min(t, events[next_event].time);
+  return t;
+}
+
 void ServeEngine::reschedule() {
   for (int app : active_ids_) rate_[app] = 0.0;
   if (active_ids_.empty()) {
@@ -106,8 +113,10 @@ void ServeEngine::reschedule() {
   if (r.warm) {
     ++counters_.warm_solves;
     counters_.repaired_solves += r.repaired;
+    counters_.warm_seconds += r.seconds;
   } else {
     ++counters_.cold_solves;
+    counters_.cold_seconds += r.seconds;
   }
   for (std::size_t i = 0; i < active_ids_.size(); ++i)
     rate_[active_ids_[i]] = r.rate[i];
@@ -137,6 +146,7 @@ void ServeEngine::drain_interval(double vt) {
       work_rate += rate_[app];
       weighted_rates_scratch_.push_back(apps_[app].payoff * rate_[app]);
       remaining_[app] -= rate_[app] * dt;
+      counters_.total_work += rate_[app] * dt;
     }
     metrics_.record_interval(dt, work_rate, total_speed_,
                              weighted_rates_scratch_);
@@ -144,12 +154,17 @@ void ServeEngine::drain_interval(double vt) {
   now_ = std::max(now_, vt);
 }
 
-void ServeEngine::complete_due() {
+bool ServeEngine::complete_due() {
   bool changed = false;
   std::size_t keep = 0;
   for (std::size_t i = 0; i < active_ids_.size(); ++i) {
     const int app = active_ids_[i];
-    if (remaining_[app] > options_.load_eps) {
+    // Due when drained to within load_eps, or when the projected finish
+    // rounds to now_: at large virtual times remaining/rate can fall
+    // below half an ulp of now_, and such a load would never drain.
+    const double rem = remaining_[app];
+    if (rem > options_.load_eps &&
+        !(rate_[app] > 0.0 && now_ + rem / rate_[app] <= now_)) {
       active_ids_[keep++] = app;
       continue;
     }
@@ -160,6 +175,7 @@ void ServeEngine::complete_due() {
     rec.slowdown = speed > 0.0 ? rec.response() / (rec.load / speed) : 0.0;
     metrics_.record_completion(rec);
     ++counters_.completed;
+    counters_.makespan = now_;
     serve_obs().completed.inc();
     serve_obs().resp_completed.observe(rec.response());
     obs::trace("serve.complete", "id=" + std::to_string(app) +
@@ -168,7 +184,7 @@ void ServeEngine::complete_due() {
     changed = true;
   }
   active_ids_.resize(keep);
-  if (changed) reschedule();
+  return changed;
 }
 
 void ServeEngine::advance_to(double vt) {
@@ -176,21 +192,22 @@ void ServeEngine::advance_to(double vt) {
     const double t_drain = next_completion();
     if (!std::isfinite(t_drain) || !(t_drain <= vt)) break;
     drain_interval(t_drain);
-    complete_due();
+    if (complete_due()) reschedule();
   }
   drain_interval(vt);
 }
 
-ServeEngine::ArriveResult ServeEngine::arrive(double vt, int cluster,
-                                              double payoff, double load,
-                                              std::string name) {
+void ServeEngine::check_arrival(int cluster, double payoff, double load) const {
   require(cluster >= 0 && cluster < dyn_.plat().num_clusters(),
           "serve: arrival cluster out of range");
   require(payoff > 0.0, "serve: arrival payoff must be positive");
   require(load > options_.load_eps, "serve: arrival load must exceed load_eps");
-  advance_to(vt);
-  ++counters_.arrivals;
+}
 
+ServeEngine::ArriveResult ServeEngine::admit(double vt, int cluster,
+                                             double payoff, double load,
+                                             std::string name) {
+  ++counters_.arrivals;
   ArriveResult out;
   if (draining_) {
     out.admit = Admit::RejectedDraining;
@@ -223,11 +240,20 @@ ServeEngine::ArriveResult ServeEngine::arrive(double vt, int cluster,
     ++counters_.admitted;
     serve_obs().admitted.inc();
     counters_.peak_active = std::max(counters_.peak_active, active_count());
-    reschedule();
   }
   obs::trace("serve.arrive",
              "cluster=" + std::to_string(cluster) + " load=" +
                  std::to_string(load) + " outcome=" + to_string(out.admit));
+  return out;
+}
+
+ServeEngine::ArriveResult ServeEngine::arrive(double vt, int cluster,
+                                              double payoff, double load,
+                                              std::string name) {
+  check_arrival(cluster, payoff, load);
+  advance_to(vt);
+  const ArriveResult out = admit(vt, cluster, payoff, load, std::move(name));
+  if (out.admit == Admit::Admitted) reschedule();
   return out;
 }
 
@@ -247,48 +273,84 @@ bool ServeEngine::depart(double vt, int id) {
   return true;
 }
 
-dynamics::ChangeScope ServeEngine::apply_event(double vt,
-                                               const dynamics::PlatformEvent& ev) {
-  advance_to(vt);
+dynamics::ChangeScope ServeEngine::mutate_platform(
+    const dynamics::PlatformEvent& ev, bool& support_changed) {
   const dynamics::ChangeScope scope = dyn_.apply(ev);
   ++counters_.platform_events;
   obs::trace("serve.platform_event",
              std::string(dynamics::to_string(ev.kind)) + " target=" +
                  std::to_string(ev.target) + " scope=" +
                  dynamics::to_string(scope));
-
-  bool support_changed = false;
-  if (ev.kind == dynamics::EventKind::ClusterLeave) {
-    std::size_t keep = 0;
-    for (std::size_t i = 0; i < active_ids_.size(); ++i) {
-      const int app = active_ids_[i];
-      if (apps_[app].cluster != ev.target) {
-        active_ids_[keep++] = app;
-        continue;
-      }
-      online::AppRecord& rec = apps_[app];
-      rec.depart = now_;
-      rec.outcome = online::AppOutcome::AbortedChurn;
-      ++counters_.aborted_churn;
-      serve_obs().aborted.inc();
-      serve_obs().resp_aborted.observe(rec.response());
-      support_changed = true;
+  if (ev.kind != dynamics::EventKind::ClusterLeave) return scope;
+  std::size_t keep = 0;
+  for (std::size_t i = 0; i < active_ids_.size(); ++i) {
+    const int app = active_ids_[i];
+    if (apps_[app].cluster != ev.target) {
+      active_ids_[keep++] = app;
+      continue;
     }
-    active_ids_.resize(keep);
+    online::AppRecord& rec = apps_[app];
+    rec.depart = now_;
+    rec.outcome = online::AppOutcome::AbortedChurn;
+    ++counters_.aborted_churn;
+    serve_obs().aborted.inc();
+    serve_obs().resp_aborted.observe(rec.response());
+    support_changed = true;
   }
-
-  if (scope != dynamics::ChangeScope::None) {
-    if (scope == dynamics::ChangeScope::Capacity) {
-      scheduler_.platform_capacity_changed();
-    } else {
-      scheduler_.platform_topology_changed();
-    }
-    refresh_total_speed();
-    reschedule();
-  } else if (support_changed) {
-    reschedule();
-  }
+  active_ids_.resize(keep);
   return scope;
+}
+
+void ServeEngine::platform_changed(dynamics::ChangeScope scope) {
+  if (scope == dynamics::ChangeScope::Capacity) {
+    scheduler_.platform_capacity_changed();
+  } else {
+    scheduler_.platform_topology_changed();
+  }
+  refresh_total_speed();
+}
+
+dynamics::ChangeScope ServeEngine::apply_event(double vt,
+                                               const dynamics::PlatformEvent& ev) {
+  advance_to(vt);
+  bool changed = false;
+  const dynamics::ChangeScope scope = mutate_platform(ev, changed);
+  if (scope != dynamics::ChangeScope::None) {
+    platform_changed(scope);
+    changed = true;
+  }
+  if (changed) reschedule();
+  return scope;
+}
+
+bool ServeEngine::replay_step(Replay& replay, double budget) {
+  const double t = std::min(replay.next_time(), next_completion());
+  // Note infinity <= infinity: an explicit finiteness check, or an idle
+  // replay under an unlimited budget would advance to +inf.
+  if (!std::isfinite(t) || !(t <= budget)) return false;
+  drain_interval(t);
+  bool changed = complete_due();
+  dynamics::ChangeScope scope = dynamics::ChangeScope::None;
+  for (; replay.next_event < replay.events.size() &&
+         replay.events[replay.next_event].time <= now_;
+       ++replay.next_event)
+    scope = merge_scope(scope,
+                        mutate_platform(replay.events[replay.next_event], changed));
+  if (scope != dynamics::ChangeScope::None) {
+    platform_changed(scope);
+    changed = true;
+  }
+  for (; replay.next_arrival < replay.arrivals.size() &&
+         replay.arrivals[replay.next_arrival].time <= now_;
+       ++replay.next_arrival) {
+    const online::AppArrival& a = replay.arrivals[replay.next_arrival];
+    check_arrival(a.cluster, a.payoff, a.load);
+    if (admit(a.time, a.cluster, a.payoff, a.load, a.name).admit ==
+        Admit::Admitted)
+      changed = true;
+  }
+  if (changed) reschedule();
+  return true;
 }
 
 }  // namespace dls::serve

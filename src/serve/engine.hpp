@@ -1,22 +1,26 @@
-// Live counterpart of OnlineEngine::run_multi: the same event
-// semantics — fluid drains between events, completions at exact virtual
-// times, one shared-LP reschedule per batch of changes — but driven
-// incrementally by external calls instead of a pre-recorded workload.
-// The daemon (daemon.hpp) feeds it replayed traces and client requests;
+// The multi-load event engine: every active load is a column block of
+// one shared steady-state LP (online::MultiLoadRescheduler), loads drain
+// at their fluid rates between events, and completions fire at their
+// exact drain times. It is the only implementation of these semantics:
+// `dls online --loads` replays a recorded workload through it, the
+// daemon (daemon.hpp) feeds it replayed traces and client requests, and
 // tests drive it directly.
 //
 // Virtual time is the engine's only clock. advance_to(vt) drains loads
 // and fires completions up to vt; arrive/depart/apply_event stamp their
 // mutation at the vt the caller supplies (the daemon maps wall clock to
-// virtual time). Because state changes only at call boundaries and
-// every call is deterministic in (vt, arguments), an identical call
-// sequence yields bit-identical counters — the property serve_smoke
-// asserts across two replays.
+// virtual time). Each of these calls ends with at most one solve.
+// replay_step() batches instead: everything a recorded stream has due
+// at one virtual time — completions, then platform events, then
+// arrivals — is applied first and solved once. Because state changes
+// only at call boundaries and every call is deterministic in (vt,
+// arguments), an identical call sequence yields bit-identical counters
+// — the property serve_smoke asserts across two replays.
 //
-// Admission control: a max-concurrent-loads budget plus the platform
-// presence check run_multi applies. Each reject outcome is counted
-// separately so an operator can tell overload from churn from
-// shutdown.
+// Admission control: a max-concurrent-loads budget plus a presence
+// check (a load homed on a churned-out cluster is rejected). Each
+// reject outcome is counted separately so an operator can tell
+// overload from churn from shutdown.
 #pragma once
 
 #include <cstdint>
@@ -26,6 +30,7 @@
 #include "dynamics/dynamic_platform.hpp"
 #include "online/metrics.hpp"
 #include "online/rescheduler.hpp"
+#include "online/workload.hpp"
 #include "platform/platform.hpp"
 
 namespace dls::serve {
@@ -34,7 +39,7 @@ namespace dls::serve {
 enum class Admit : unsigned char {
   Admitted,
   RejectedOverload,  ///< active set at the max_loads budget
-  RejectedAbsent,    ///< home cluster churned out (run_multi's reject)
+  RejectedAbsent,    ///< home cluster churned out
   RejectedDraining,  ///< daemon is shutting down
 };
 
@@ -46,7 +51,8 @@ struct EngineOptions {
   /// 0 means unlimited.
   int max_loads = 0;
   /// A load counts as drained when remaining <= load_eps (same epsilon
-  /// as OnlineOptions).
+  /// as OnlineOptions), or when its projected finish rounds to the
+  /// current virtual time.
   double load_eps = 1e-6;
 };
 
@@ -66,6 +72,31 @@ struct EngineCounters {
   std::uint64_t repaired_solves = 0;
   std::uint64_t platform_events = 0;
   int peak_active = 0;
+  double warm_seconds = 0.0;  ///< solver time of the warm solves
+  double cold_seconds = 0.0;  ///< solver time of the cold solves
+  double total_work = 0.0;    ///< load units drained (aborts drain partially)
+  double makespan = 0.0;      ///< virtual time of the last completion
+};
+
+/// A recorded arrival stream and platform-event trace (both sorted by
+/// time), with cursors to the first item not yet fed to the engine.
+/// Holds references: the workload and trace must outlive it.
+struct Replay {
+  const std::vector<online::AppArrival>& arrivals;
+  const std::vector<dynamics::PlatformEvent>& events;
+  std::size_t next_arrival = 0;
+  std::size_t next_event = 0;
+
+  /// Time of the next unfed arrival or event; +inf when none is left.
+  [[nodiscard]] double next_time() const;
+  [[nodiscard]] std::size_t pending() const {
+    return arrivals.size() - next_arrival + events.size() - next_event;
+  }
+  /// Drops every unfed item (a draining daemon stops the replay).
+  void skip_rest() {
+    next_arrival = arrivals.size();
+    next_event = events.size();
+  }
 };
 
 class ServeEngine {
@@ -104,6 +135,15 @@ public:
   /// capacity/topology change re-prices the shared LP.
   dynamics::ChangeScope apply_event(double vt, const dynamics::PlatformEvent& ev);
 
+  /// Replays the earliest virtual time t that `replay` or a completion
+  /// has due, when t <= budget: advances to t, applies every platform
+  /// event due at t, admits every arrival due at t (in that order), and
+  /// solves once if anything changed. False when nothing is due by the
+  /// budget (an infinite budget replays to the end, one call per
+  /// timestamp). Arrivals go through the same admission control as
+  /// arrive(), stamped with their recorded times.
+  bool replay_step(Replay& replay, double budget);
+
   /// Shutdown: every subsequent arrival is RejectedDraining; active
   /// loads keep draining.
   void begin_drain() { draining_ = true; }
@@ -135,12 +175,28 @@ public:
   [[nodiscard]] const platform::Platform& plat() const { return dyn_.plat(); }
 
 private:
+  // The mutators below change state without solving; each public call
+  // ends with one reschedule() when one of them reports a change.
+
   /// One shared-LP solve over the current active set; updates rates and
   /// the solve counters. No-op when nothing is active.
   void reschedule();
   /// Advances the fluid drain over [now_, vt] without firing events.
   void drain_interval(double vt);
-  void complete_due();
+  /// Retires every due load at now_; true when any was.
+  bool complete_due();
+  /// Applies `ev` to the platform and aborts the loads of a leaving
+  /// cluster (setting `support_changed`); returns the change scope.
+  dynamics::ChangeScope mutate_platform(const dynamics::PlatformEvent& ev,
+                                        bool& support_changed);
+  /// Invalidates the scheduler's platform caches for `scope` (not None).
+  void platform_changed(dynamics::ChangeScope scope);
+  /// Throws dls::Error on arguments arrive() rejects.
+  void check_arrival(int cluster, double payoff, double load) const;
+  /// Counts an arrival at vt and runs admission control; an admitted
+  /// load joins the active set (arrived and admitted at vt).
+  ArriveResult admit(double vt, int cluster, double payoff, double load,
+                     std::string name);
   void refresh_total_speed();
 
   EngineOptions options_;

@@ -2,11 +2,14 @@
 // `dls online --loads`, and the empty-shard campaign warning.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "cli/cli.hpp"
+#include "temp_path.hpp"
 
 #ifndef DLS_SOURCE_DIR
 #define DLS_SOURCE_DIR "."
@@ -77,6 +80,23 @@ TEST(MultiLoadCli, OnlineLoadsObjectiveReachesTheLabel) {
   EXPECT_EQ(r.code, 0) << r.err;
   EXPECT_NE(r.out.find("method shared-lp"), std::string::npos) << r.out;
   EXPECT_NE(r.out.find("objective maxmin"), std::string::npos);
+}
+
+TEST(MultiLoadCli, OnlineLoadsFinishesAtLargeVirtualTimes) {
+  // Twelve 1e12-unit loads on a K=64 platform drain until t ~ 3.7e9,
+  // where remaining/rate of a finishing load falls below half an ulp of
+  // the clock; the replay must still retire every load.
+  const std::string wl = dls::testing::temp_path("workload");
+  {
+    std::ofstream f(wl);
+    f << "dls-workload 1\n";
+    for (int c = 0; c < 12; ++c) f << "app 0 " << c << " 1 1e12 -\n";
+  }
+  const CliRun r = run({"online", "--loads", "--clusters", "64", "--seed", "3",
+                        "--connected", "--workload", wl, "--json"});
+  EXPECT_EQ(r.code, 0) << r.err;
+  EXPECT_NE(r.out.find("\"completed\":12,"), std::string::npos) << r.out;
+  std::remove(wl.c_str());
 }
 
 TEST(MultiLoadCli, OnlineLoadsRejectsIncompatibleModes) {
