@@ -9,12 +9,11 @@
 //   * sparse  — SparseLu + Dantzig: the pre-overhaul sparse path (the
 //               field names below keep their PR-5 meaning so committed
 //               baselines stay comparable);
-//   * partial — SparseLu + Partial (candidate-list Dantzig);
-//   * se      — SparseLu + SteepestEdge (devex): the new default;
+//   * se      — SparseLu + SteepestEdge (devex): the default rule;
 //   * auto    — everything defaulted (Auto factorization picks dense
-//               below the crossover, Auto pricing picks steepest edge).
+//               below the crossover; pricing is steepest edge).
 //
-// All five must agree on the LP objective (asserted, 1e-6 relative).
+// All four must agree on the LP objective (asserted, 1e-6 relative).
 // Reported per K: best-of-repeats cold seconds, simplex pivots,
 // microseconds per pivot, refactorization count, and peak eta-file
 // nonzeros; then one warm (capsule) re-solve after a departure event,
@@ -70,12 +69,11 @@ struct PathResult {
 };
 
 PathResult cold_solve(const dls::lp::Model& model, dls::lp::Factorization f,
-                      dls::lp::Pricing p, int repeats, bool hypersparse = true) {
+                      dls::lp::Pricing p, int repeats) {
   dls::lp::SimplexOptions opt;
   opt.factorization = f;
   opt.pricing = p;
   opt.compute_duals = false;
-  opt.hypersparse = hypersparse;
   const dls::lp::SimplexSolver solver(opt);
   PathResult out;
   out.seconds = std::numeric_limits<double>::infinity();
@@ -208,26 +206,13 @@ int main() {
                                         lp::Pricing::Dantzig, repeats);
     const PathResult sparse = cold_solve(model, lp::Factorization::SparseLu,
                                          lp::Pricing::Dantzig, repeats);
-    const PathResult partial = cold_solve(model, lp::Factorization::SparseLu,
-                                          lp::Pricing::Partial, repeats);
     const HyperSnap h0 = hyper_snap();
     const PathResult se = cold_solve(model, lp::Factorization::SparseLu,
                                      lp::Pricing::SteepestEdge, repeats);
     const HyperSnap h1 = hyper_snap();
-    // The knob-off arm: same factorization and pricing, dense sweeps
-    // only. Hypersparse solves are bit-identical, so this arm must
-    // reproduce the se arm's pivot count and objective exactly.
-    const PathResult se_nohyper =
-        cold_solve(model, lp::Factorization::SparseLu,
-                   lp::Pricing::SteepestEdge, repeats, /*hypersparse=*/false);
-    if (se_nohyper.objective != se.objective || se_nohyper.pivots != se.pivots) {
-      std::cerr << "lp_scaling: hypersparse arm diverged from dense-pass arm"
-                << " at K=" << k << "\n";
-      return 1;
-    }
-    const PathResult autop =
-        cold_solve(model, lp::Factorization::Auto, lp::Pricing::Auto, repeats);
-    for (const PathResult* r : {&sparse, &partial, &se, &autop}) {
+    const PathResult autop = cold_solve(model, lp::Factorization::Auto,
+                                        lp::Pricing::SteepestEdge, repeats);
+    for (const PathResult* r : {&sparse, &se, &autop}) {
       if (!objectives_agree(dense.objective, r->objective)) {
         std::cerr << "lp_scaling: objectives diverge at K=" << k << ": "
                   << dense.objective << " vs " << r->objective << "\n";
@@ -347,8 +332,6 @@ int main() {
         se.pivots > 0 ? static_cast<double>(sparse.pivots) / se.pivots : 0.0;
     const double batch_speedup =
         batch_seconds > 0.0 ? plain_seconds / batch_seconds : 0.0;
-    const double hyper_speedup =
-        se.seconds > 0.0 ? se_nohyper.seconds / se.seconds : 0.0;
     const double ftran_reach_median =
         median_reach(h1.bounds, h1.ftran_buckets, h0.ftran_buckets);
     const double btran_reach_median =
@@ -365,18 +348,16 @@ int main() {
               << " n=" << model.num_variables() << " nnz=" << nnz
               << "\n  cold  dense " << dense.seconds * 1e3 << " ms/"
               << dense.pivots << "p, sparse(dantzig) " << sparse.seconds * 1e3
-              << " ms/" << sparse.pivots << "p, partial "
-              << partial.seconds * 1e3 << " ms/" << partial.pivots
-              << "p, steepest " << se.seconds * 1e3 << " ms/" << se.pivots
-              << "p (" << se.refactors << " refac, eta peak " << se.eta_peak
+              << " ms/" << sparse.pivots << "p, steepest " << se.seconds * 1e3
+              << " ms/" << se.pivots << "p (" << se.refactors
+              << " refac, eta peak " << se.eta_peak
               << "), auto " << autop.seconds * 1e3 << " ms/" << autop.pivots
               << "p\n  se vs dantzig: " << se_speedup << "x time, "
               << pivot_ratio << "x pivots; warm " << warm_seconds * 1e3
               << " ms/" << warm.iterations << "p, capsule "
-              << state.memory_bytes() << " B\n  hypersparse: no-hyper "
-              << se_nohyper.seconds * 1e3 << " ms (" << hyper_speedup
-              << "x), reach median ftran " << ftran_reach_median << " btran "
-              << btran_reach_median << ", fallback ftran "
+              << state.memory_bytes() << " B\n  hypersparse: reach median ftran "
+              << ftran_reach_median << " btran " << btran_reach_median
+              << ", fallback ftran "
               << ftran_fallback_rate << " btran " << btran_fallback_rate
               << " warm " << warm_fallback_rate << "\n  batch " << batch_models
               << " models: plain " << plain_seconds * 1e3 << " ms, batch "
@@ -397,16 +378,11 @@ int main() {
        << ",\"sparse_cold_seconds\":" << sparse.seconds
        << ",\"sparse_pivots\":" << sparse.pivots
        << ",\"sparse_us_per_pivot\":" << us_per_pivot(sparse)
-       << ",\"partial_cold_seconds\":" << partial.seconds
-       << ",\"partial_pivots\":" << partial.pivots
        << ",\"se_cold_seconds\":" << se.seconds
        << ",\"se_pivots\":" << se.pivots
        << ",\"se_us_per_pivot\":" << us_per_pivot(se)
        << ",\"se_refactorizations\":" << se.refactors
        << ",\"se_eta_peak_nnz\":" << se.eta_peak
-       << ",\"se_nohyper_cold_seconds\":" << se_nohyper.seconds
-       << ",\"se_nohyper_us_per_pivot\":" << us_per_pivot(se_nohyper)
-       << ",\"hyper_speedup_vs_nohyper\":" << hyper_speedup
        << ",\"ftran_reach_median\":" << ftran_reach_median
        << ",\"btran_reach_median\":" << btran_reach_median
        << ",\"ftran_fallback_rate\":" << ftran_fallback_rate

@@ -228,14 +228,6 @@ int cmd_simulate(Args& args, std::ostream& out) {
   options.window_units = args.get_double("window", options.window_units);
   const std::string policy = args.get_string("policy", "paced");
   options.policy = parse_policy(policy);
-  const std::string engine = args.get_string("sim-engine", "incremental");
-  if (engine == "incremental") {
-    options.engine = sim::EngineKind::Incremental;
-  } else if (engine == "rescan") {
-    options.engine = sim::EngineKind::Rescan;
-  } else {
-    throw Error("--sim-engine: expected incremental|rescan");
-  }
   args.reject_unknown();
 
   const auto sched = core::build_periodic_schedule(problem, solved.allocation);
@@ -249,7 +241,7 @@ int cmd_simulate(Args& args, std::ostream& out) {
   table.print(out);
   out << "worst period overrun ratio: " << TextTable::fmt(report.worst_overrun_ratio, 4)
       << "\n";
-  out << "engine " << engine << ": " << report.events << " events, "
+  out << "simulation: " << report.events << " events, "
       << report.rate_recomputations << " full + " << report.partial_recomputations
       << " partial rate solves\n";
   return 0;

@@ -12,7 +12,6 @@
 //   dls simulate  --platform FILE [--method ...] [--objective ...]
 //                 [--payoffs ...] [--policy paced|maxmin|tcp|window]
 //                 [--window units] [--periods n] [--seed n]
-//                 [--sim-engine incremental|rescan]
 //   dls campaign  --spec FILE [--jobs J] [--shard i/n] [--json|--csv]
 //                 [--cases FILE]
 //                 (run a declarative .campaign scenario matrix through

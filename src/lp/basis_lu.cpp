@@ -700,39 +700,12 @@ BasisLu::SolveStats BasisLu::btran_unit_sparse(int slot, SparseVector& y,
   return btran_sparse(y, ws, crossover);
 }
 
-void BasisLu::btran_unit(int slot, std::vector<double>& y,
-                         std::vector<int>* nonzeros) const {
-  DLS_ASSERT(valid() && slot >= 0 && slot < m_);
-  y.assign(m_, 0.0);
-  y[slot] = 1.0;
-  btran(y);
-  if (nonzeros != nullptr) {
-    nonzeros->clear();
-    for (int i = 0; i < m_; ++i)
-      if (y[i] != 0.0) nonzeros->push_back(i);
-  }
-}
-
-bool BasisLu::update(int r, const std::vector<double>& w, double pivot_tol) {
-  DLS_ASSERT(valid() && static_cast<int>(w.size()) == m_);
-  if (std::fabs(w[r]) <= pivot_tol) return false;
-  for (int i = 0; i < m_; ++i) {
-    if (i == r || w[i] == 0.0) continue;
-    eta_pos_.push_back(i);
-    eta_val_.push_back(w[i]);
-  }
-  eta_start_.push_back(static_cast<int>(eta_pos_.size()));
-  eta_pivot_pos_.push_back(r);
-  eta_pivot_val_.push_back(w[r]);
-  return true;
-}
-
 bool BasisLu::update(int r, const SparseVector& w, double pivot_tol) {
   DLS_ASSERT(valid() && static_cast<int>(w.values.size()) == m_);
   const double wr = w.values[r];
   if (std::fabs(wr) <= pivot_tol) return false;
-  // The pattern is ascending with exact nonzeros, so this appends the
-  // same eta entries, in the same order, as the dense scan above.
+  // The pattern is ascending with exact nonzeros, so the eta entries
+  // land in slot order (fixing the btran replay's summation order).
   for (const int i : w.pattern) {
     if (i == r) continue;
     eta_pos_.push_back(i);

@@ -31,8 +31,12 @@
 // is bitwise identical to the dense pass. A symbolic pass whose reach
 // crosses `crossover * m` abandons the sparse route and finishes with
 // the dense sweeps (the predicted bookkeeping would cost more than the
-// straight pass it replaces). The graphs (pivot permutation inverses
-// plus L/U transposes) are built once per factorize() in O(nnz).
+// straight pass it replaces; the simplex pivot loop uses 0.03, tests
+// force 0.0 and 1.0). The graphs (pivot permutation inverses plus L/U
+// transposes) are built once per factorize() in O(nnz). The dense
+// ftran()/btran() remain for genuinely dense right-hand sides (basic-
+// value recompute, pricing multipliers, duals) and are the oracle the
+// hypersparse solves are tested against bit for bit.
 #pragma once
 
 #include <cstddef>
@@ -94,23 +98,12 @@ public:
                                double crossover) const;
 
   /// Product-form update after a simplex pivot: slot `r` of the basis is
-  /// replaced by a column whose FTRAN image is `w` (dense, slot space).
-  /// Returns false without changing anything when |w[r]| <= pivot_tol —
-  /// the caller should refactorize from the updated basis instead.
-  bool update(int r, const std::vector<double>& w, double pivot_tol);
-
-  /// Pattern-driven form of update(): reads only `w.pattern` (ascending,
-  /// exact nonzeros — what ftran_sparse returns), appending the same eta
-  /// vector the dense scan would.
+  /// replaced by a column whose FTRAN image is `w` (slot space). Reads
+  /// only `w.pattern` (ascending, exact nonzeros — what ftran_sparse
+  /// returns) plus w[r]. Returns false without changing anything when
+  /// |w[r]| <= pivot_tol — the caller should refactorize from the
+  /// updated basis instead.
   bool update(int r, const SparseVector& w, double pivot_tol);
-
-  /// btran of a slot-space unit vector e_slot: `y` is resized and
-  /// overwritten with row `slot` of B^{-1} (over rows). When `nonzeros`
-  /// is non-null it receives the indices of y's nonzero entries — the
-  /// support the simplex pricing update scatters its pivot row from.
-  /// (Legacy dense pass; the pivot loop uses btran_unit_sparse.)
-  void btran_unit(int slot, std::vector<double>& y,
-                  std::vector<int>* nonzeros = nullptr) const;
 
   /// Number of eta vectors appended since the last factorize().
   [[nodiscard]] int eta_count() const { return static_cast<int>(eta_pivot_pos_.size()); }

@@ -103,6 +103,25 @@ constexpr double kTieMargin = 1e-9;
 /// pricing refresh, which reinitializes every weight to 1).
 constexpr double kWeightCap = 1e7;
 
+/// Reach-set density cutoff of the sparse-path basis solves: a symbolic
+/// pass that reaches more than this fraction of the elimination steps
+/// abandons the sparse route and finishes with the dense sweeps (the
+/// sort/scatter bookkeeping would cost more than the straight pass).
+/// Deliberately strict: on the bench federations the dense sweeps win
+/// from a few percent density up, so only genuinely tiny reaches stay
+/// on the sparse route.
+constexpr double kHypersparseCrossover = 0.03;
+
+/// Steepest-edge candidate cap: every pricing refresh keeps only the
+/// strongest this-many candidates (by reduced-cost magnitude, with the
+/// cutoff binade truncated in index order to land exactly on the cap),
+/// which bounds the per-pivot scan and update cost on wide models.
+/// Columns left off the list go stale until a windowed refill or the
+/// fresh confirmation pass that gates optimality brings them back. A
+/// flat 512: per-pivot cost beats the extra refills on every width the
+/// benches cover.
+constexpr std::size_t kCandidateCap = 512;
+
 /// Reach-fraction buckets for the hypersparse solve histograms: dense
 /// coverage of the tiny-reach regime the pivot loop lives in, with the
 /// 1.0 bucket catching crossover fallbacks (recorded as a full sweep).
@@ -186,16 +205,8 @@ public:
     dense_ = opt.factorization == Factorization::DenseInverse ||
              (opt.factorization == Factorization::Auto &&
               m_ <= opt.dense_crossover_rows);
-    hyper_ = !dense_ && opt.hypersparse;
-    if (hyper_) hs_.ensure(m_);
-    rule_ = opt.pricing == Pricing::Auto ? Pricing::SteepestEdge : opt.pricing;
-    window_ = opt.partial_window > 0 ? opt.partial_window
-                                     : std::max(64, (n_ + m_) / 16);
-    cand_cap_ = opt.se_candidate_cap > 0
-                    ? static_cast<std::size_t>(opt.se_candidate_cap)
-                : opt.se_candidate_cap == 0
-                    ? static_cast<std::size_t>(512)
-                    : static_cast<std::size_t>(n_) + static_cast<std::size_t>(m_);
+    if (!dense_) hs_.ensure(m_);
+    window_ = std::max(64, (n_ + m_) / 16);
     fingerprint_ = detail::matrix_fingerprint(model);
     resolve_columns();
     build_bounds_and_costs();
@@ -205,7 +216,6 @@ public:
     Solution sol = run_inner(warm, state);
     sol.factorization_used =
         dense_ ? Factorization::DenseInverse : Factorization::SparseLu;
-    sol.pricing_used = rule_;
     sol.refactorizations = refactor_count_;
     sol.pricing_refreshes = refresh_count_;
     sol.eta_peak_nnz = eta_peak_;
@@ -221,7 +231,7 @@ private:
     const int max_iters = opt_.max_iterations > 0
                               ? opt_.max_iterations
                               : 200 * (n_ + m_) + 20000;
-    if (rule_ != Pricing::Dantzig) alpha_.assign(n_ + m_, 0.0);
+    if (opt_.pricing != Pricing::Dantzig) alpha_.assign(n_ + m_, 0.0);
 
     bool warm_ok = false;
     WarmKind kind = WarmKind::Cold;
@@ -683,8 +693,8 @@ private:
   }
 
   /// Windowed variant of the legacy scan for the composite bound
-  /// phase 1 under the incremental rules: the virtual costs move with
-  /// every pivot, so nothing can be maintained across iterations — but a
+  /// phase 1 under steepest edge: the virtual costs move with every
+  /// pivot, so nothing can be maintained across iterations — but a
   /// full O(nnz) sweep per pivot is overkill when any descent direction
   /// makes progress. Scans cycling windows of freshly computed reduced
   /// costs and takes the best of the first window that holds a
@@ -727,15 +737,15 @@ private:
     phase1_cursor_ = start;
   }
 
-  /// Drops the weakest candidates until roughly cand_cap_ remain, using
-  /// a histogram over the binary exponents of |d| instead of a selection
-  /// sort: one pass counts candidates per binade, a walk from the top
-  /// binade finds the cutoff that keeps at least cand_cap_, and a final
-  /// pass compacts the list in place — index order (and thus the
-  /// tie-breaking scan order) is preserved, and no comparator ever runs.
-  /// Whole binades are kept or dropped, so heavy score ties can leave
-  /// somewhat more than cand_cap_ candidates; that only costs speed,
-  /// never correctness (off-list columns are re-found by the next
+  /// Drops the weakest candidates until roughly kCandidateCap remain,
+  /// using a histogram over the binary exponents of |d| instead of a
+  /// selection sort: one pass counts candidates per binade, a walk from
+  /// the top binade finds the cutoff that keeps at least kCandidateCap,
+  /// and a final pass compacts the list in place — index order (and thus
+  /// the tie-breaking scan order) is preserved, and no comparator ever
+  /// runs. Whole binades are kept or dropped, so heavy score ties can
+  /// leave somewhat more than kCandidateCap candidates; that only costs
+  /// speed, never correctness (off-list columns are re-found by the next
   /// refresh).
   void truncate_candidates() {
     constexpr int kBuckets = 2048;  // full biased-exponent range of a double
@@ -751,7 +761,7 @@ private:
     int cutoff = 0;
     for (int b = kBuckets - 1; b >= 0; --b) {
       kept += static_cast<std::size_t>(hist[b]);
-      if (kept >= cand_cap_) {
+      if (kept >= kCandidateCap) {
         cutoff = b;
         break;
       }
@@ -762,8 +772,8 @@ private:
     // binade, and keeping them all would make every per-pivot candidate
     // sweep O(n/16) no matter what cap the caller asked for.
     std::size_t keep = 0;
-    std::size_t cutoff_left = cand_cap_ - std::min(
-        cand_cap_, kept - static_cast<std::size_t>(hist[cutoff]));
+    std::size_t cutoff_left = kCandidateCap - std::min(
+        kCandidateCap, kept - static_cast<std::size_t>(hist[cutoff]));
     for (std::size_t s = 0; s < cand_.size(); ++s) {
       const int j = cand_[s];
       const int b = binade(j);
@@ -800,15 +810,12 @@ private:
     // order and the resulting candidate list are identical to running
     // the three passes separately; fusing just avoids streaming the
     // O(n) arrays through the cache three times per refresh.
-    const bool se = rule_ == Pricing::SteepestEdge;
-    if (se) {
-      weights_.resize(nn);
-      cand_.clear();
-      in_cand_.assign(nn, 0);
-    }
+    weights_.resize(nn);
+    cand_.clear();
+    in_cand_.assign(nn, 0);
     const detail::ColumnCache& c = *cols_;
     for (int j = 0; j < nn; ++j) {
-      if (se) weights_[j] = 1.0;
+      weights_[j] = 1.0;
       if (status_[j] == VarStatus::Basic) {
         d_[j] = 0.0;
         continue;
@@ -821,12 +828,12 @@ private:
         d -= y_[j - n_];  // slack column e_{j-n}
       }
       d_[j] = d;
-      if (se && lb_[j] != ub_[j] && attractive(j)) {
+      if (lb_[j] != ub_[j] && attractive(j)) {
         cand_.push_back(j);
         in_cand_[j] = 1;
       }
     }
-    if (se && cand_.size() > cand_cap_) truncate_candidates();
+    if (cand_.size() > kCandidateCap) truncate_candidates();
     d_fresh_ = true;
     pricing_ready_ = true;
   }
@@ -881,69 +888,36 @@ private:
       if (start >= nn) start -= nn;
     }
     refill_cursor_ = start;
-    if (cand_.size() > cand_cap_) truncate_candidates();
+    if (cand_.size() > kCandidateCap) truncate_candidates();
     if (!found && examined >= nn) d_fresh_ = true;
     return found;
   }
 
-  /// Entering-variable selection over the incrementally maintained
-  /// reduced costs. SteepestEdge scans (and compacts) the candidate
-  /// list, scoring d^2/weight; Partial scans a cycling window with
-  /// Dantzig scores, stopping at the first window holding a candidate.
+  /// Steepest-edge entering-variable selection over the incrementally
+  /// maintained reduced costs: scans (and compacts) the candidate list,
+  /// scoring d^2/weight.
   void pick_entering_incremental(int& q, bool& increase) {
     q = -1;
     increase = true;
-    if (rule_ == Pricing::SteepestEdge) {
-      double best = 0.0;
-      std::size_t keep = 0;
-      for (std::size_t s = 0; s < cand_.size(); ++s) {
-        const int j = cand_[s];
-        if (status_[j] == VarStatus::Basic || lb_[j] == ub_[j] ||
-            !attractive(j)) {
-          in_cand_[j] = 0;  // lazily dropped; re-added if it turns attractive
-          continue;
-        }
-        cand_[keep++] = j;
-        const double d = d_[j];
-        const double score = d * d / weights_[j];
-        if (score > best * (1.0 + kTieMargin)) {
-          best = score;
-          q = j;
-          increase = d < 0.0;
-        }
+    double best = 0.0;
+    std::size_t keep = 0;
+    for (std::size_t s = 0; s < cand_.size(); ++s) {
+      const int j = cand_[s];
+      if (status_[j] == VarStatus::Basic || lb_[j] == ub_[j] ||
+          !attractive(j)) {
+        in_cand_[j] = 0;  // lazily dropped; re-added if it turns attractive
+        continue;
       }
-      cand_.resize(keep);
-      return;
-    }
-    const int nn = n_ + m_;
-    int start = partial_cursor_;
-    int examined = 0;
-    double best_score = opt_.opt_tol;
-    while (examined < nn) {
-      const int count = std::min(window_, nn - examined);
-      for (int t = 0; t < count; ++t) {
-        int j = start + t;
-        if (j >= nn) j -= nn;
-        if (status_[j] == VarStatus::Basic || lb_[j] == ub_[j]) continue;
-        const double d = d_[j];
-        const double bar = best_score * (1.0 + kTieMargin);
-        if (status_[j] != VarStatus::AtUpper && -d > bar) {
-          best_score = -d;
-          q = j;
-          increase = true;
-        }
-        if (status_[j] != VarStatus::AtLower && d > bar) {
-          best_score = d;
-          q = j;
-          increase = false;
-        }
+      cand_[keep++] = j;
+      const double d = d_[j];
+      const double score = d * d / weights_[j];
+      if (score > best * (1.0 + kTieMargin)) {
+        best = score;
+        q = j;
+        increase = d < 0.0;
       }
-      examined += count;
-      start += count;
-      if (start >= nn) start -= nn;
-      if (q >= 0) break;
     }
-    partial_cursor_ = start;
+    cand_.resize(keep);
   }
 
   /// Post-pivot maintenance of the incremental pricing state: with the
@@ -956,11 +930,11 @@ private:
   void update_pricing(int q, int old_var, int leave, double pivot) {
     const int nn = n_ + m_;
     const double ratio = d_[q] / pivot;
-    const double wq = rule_ == Pricing::SteepestEdge ? weights_[q] : 0.0;
+    const double wq = weights_[q];
     const double inv_p2 = 1.0 / (pivot * pivot);
 
     // rho = (row `leave` of B^{-1})' with its nonzero support. On the
-    // hypersparse path the solve itself hands back the pattern; the
+    // sparse path the reach-set solve itself hands back the pattern; the
     // dense inverse keeps its scan (a dense row has no other source).
     const double* rv;
     if (dense_) {
@@ -968,16 +942,13 @@ private:
       rho_nz_.clear();
       for (int i = 0; i < m_; ++i)
         if (rv[i] != 0.0) rho_nz_.push_back(i);
-    } else if (hyper_) {
+    } else {
       const BasisLu::SolveStats hst =
-          lu_.btran_unit_sparse(leave, a_.rho, hs_, opt_.hypersparse_crossover);
+          lu_.btran_unit_sparse(leave, a_.rho, hs_, kHypersparseCrossover);
       HyperObs& ho = hyper_obs();
       ho.btran_reach.observe(
           hst.fallback ? 1.0 : static_cast<double>(hst.reach) / m_);
       if (hst.fallback) ho.btran_fallbacks.inc();
-      rv = rho_.data();
-    } else {
-      lu_.btran_unit(leave, rho_, &rho_nz_);
       rv = rho_.data();
     }
 
@@ -1001,8 +972,7 @@ private:
     const std::size_t avg_col_nnz =
         1 + static_cast<std::size_t>(cols_->col_ptr[n_]) /
                 static_cast<std::size_t>(std::max(1, n_));
-    const bool column_wise = rule_ == Pricing::SteepestEdge &&
-                             cand_.size() * avg_col_nnz < rowwise_cost;
+    const bool column_wise = cand_.size() * avg_col_nnz < rowwise_cost;
 
     if (column_wise) {
       std::size_t keep = 0;
@@ -1044,19 +1014,17 @@ private:
         if (aj == 0.0) continue;  // duplicate entry after exact cancellation
         if (status_[j] == VarStatus::Basic || lb_[j] == ub_[j]) continue;
         d_[j] -= ratio * aj;
-        if (rule_ == Pricing::SteepestEdge) {
-          const double w_new = aj * aj * inv_p2 * wq;
-          if (w_new > weights_[j]) {
-            weights_[j] = w_new;
-            if (w_new > kWeightCap) weight_overflow_ = true;
-          }
-          // Newly attractive columns rejoin the list, but never past
-          // twice the cap — beyond that they wait for the next refresh,
-          // keeping the per-pivot scan bounded.
-          if (!in_cand_[j] && cand_.size() < 2 * cand_cap_ && attractive(j)) {
-            in_cand_[j] = 1;
-            cand_.push_back(j);
-          }
+        const double w_new = aj * aj * inv_p2 * wq;
+        if (w_new > weights_[j]) {
+          weights_[j] = w_new;
+          if (w_new > kWeightCap) weight_overflow_ = true;
+        }
+        // Newly attractive columns rejoin the list, but never past twice
+        // the cap — beyond that they wait for the next refresh, keeping
+        // the per-pivot scan bounded.
+        if (!in_cand_[j] && cand_.size() < 2 * kCandidateCap && attractive(j)) {
+          in_cand_[j] = 1;
+          cand_.push_back(j);
         }
       }
     }
@@ -1064,12 +1032,10 @@ private:
     d_[q] = 0.0;  // entered the basis
     if (old_var < nn) {  // a leaving artificial is pinned, never re-priced
       d_[old_var] = -ratio;
-      if (rule_ == Pricing::SteepestEdge) {
-        weights_[old_var] = std::max(wq * inv_p2, 1.0);
-        if (!in_cand_[old_var] && attractive(old_var)) {
-          in_cand_[old_var] = 1;
-          cand_.push_back(old_var);
-        }
+      weights_[old_var] = std::max(wq * inv_p2, 1.0);
+      if (!in_cand_[old_var] && attractive(old_var)) {
+        in_cand_[old_var] = 1;
+        cand_.push_back(old_var);
       }
     }
     d_fresh_ = false;
@@ -1102,27 +1068,27 @@ private:
 
   SolveStatus iterate(int max_iters) {
     y_.resize(m_);
-    if (hyper_)
-      a_.w.reset(m_);  // restore the invariant whatever mode used the arena last
-    else
+    if (dense_)
       w_.resize(m_);
+    else
+      a_.w.reset(m_);  // restore the invariant whatever mode used the arena last
     pricing_ready_ = false;  // every phase starts from a fresh pricing pass
     while (true) {
       if (iters_ >= max_iters) return SolveStatus::IterationLimit;
 
-      // The incremental rules assume a cost vector that is constant
-      // across pivots; the composite bound phase 1 violates that (its
-      // virtual costs follow the violations), and Bland's termination
-      // guarantee needs exact reduced-cost signs. Both fall back to the
-      // legacy recompute-every-iteration loop, as does the Dantzig
-      // oracle by definition.
+      // Steepest edge's incremental state assumes a cost vector that is
+      // constant across pivots; the composite bound phase 1 violates
+      // that (its virtual costs follow the violations), and Bland's
+      // termination guarantee needs exact reduced-cost signs. Both fall
+      // back to the legacy recompute-every-iteration loop, as does the
+      // Dantzig oracle by definition.
       const bool legacy =
-          rule_ == Pricing::Dantzig || bound_phase1_ || use_bland_;
+          opt_.pricing == Pricing::Dantzig || bound_phase1_ || use_bland_;
       int q = -1;
       bool increase = true;
       if (legacy) {
         compute_pricing_y();
-        if (bound_phase1_ && !use_bland_ && rule_ != Pricing::Dantzig) {
+        if (bound_phase1_ && !use_bland_ && opt_.pricing != Pricing::Dantzig) {
           pick_entering_window(q, increase);
         } else {
           pick_entering_full(q, increase);
@@ -1130,7 +1096,7 @@ private:
       } else {
         if (!pricing_ready_) refresh_pricing();
         pick_entering_incremental(q, increase);
-        if (q < 0 && !d_fresh_ && rule_ == Pricing::SteepestEdge) {
+        if (q < 0 && !d_fresh_) {
           // Dry candidate list mid-phase: refill from cycling windows
           // of freshly recomputed reduced costs instead of paying a
           // full O(n) refresh. A fruitless full cycle sets d_fresh_ —
@@ -1148,28 +1114,23 @@ private:
       if (q < 0) return SolveStatus::Optimal;
 
       // FTRAN: w = B^{-1} A_q.
-      if (hyper_) {
+      if (dense_) {
+        std::fill(w_.begin(), w_.end(), 0.0);
+        for_each_in_column(q, [&](int row, double coef) {
+          for (int i = 0; i < m_; ++i) w_[i] += binv_at(i, row) * coef;
+        });
+      } else {
         a_.w.clear_support();
         for_each_in_column(q, [&](int row, double coef) {
           if (w_[row] == 0.0) w_nz_.push_back(row);
           w_[row] += coef;
         });
         const BasisLu::SolveStats hst =
-            lu_.ftran_sparse(a_.w, hs_, opt_.hypersparse_crossover);
+            lu_.ftran_sparse(a_.w, hs_, kHypersparseCrossover);
         HyperObs& ho = hyper_obs();
         ho.ftran_reach.observe(
             hst.fallback ? 1.0 : static_cast<double>(hst.reach) / m_);
         if (hst.fallback) ho.ftran_fallbacks.inc();
-      } else {
-        std::fill(w_.begin(), w_.end(), 0.0);
-        if (dense_) {
-          for_each_in_column(q, [&](int row, double coef) {
-            for (int i = 0; i < m_; ++i) w_[i] += binv_at(i, row) * coef;
-          });
-        } else {
-          for_each_in_column(q, [&](int row, double coef) { w_[row] += coef; });
-          lu_.ftran(w_);
-        }
       }
 
       const double dir = increase ? 1.0 : -1.0;
@@ -1189,12 +1150,12 @@ private:
       bool leave_upper = false;  // which bound the leaving basic rests at
       if (std::isfinite(lb_[q]) && std::isfinite(ub_[q])) t_best = ub_[q] - lb_[q];
       double leave_pivot = 0.0;
-      // On the hypersparse path only w's support can block; its pattern
-      // is ascending, so the tie-breaking scan order matches the dense
+      // On the sparse path only w's support can block; its pattern is
+      // ascending, so the tie-breaking scan order matches the dense
       // sweep (off-pattern entries are exact zeros the sweep skips).
-      const int wn = hyper_ ? static_cast<int>(w_nz_.size()) : m_;
+      const int wn = dense_ ? m_ : static_cast<int>(w_nz_.size());
       for (int k = 0; k < wn; ++k) {
-        const int i = hyper_ ? w_nz_[k] : k;
+        const int i = dense_ ? k : w_nz_[k];
         const double delta = -dir * w_[i];  // d(x_B[i]) / dt
         if (std::fabs(delta) <= opt_.pivot_tol) continue;
         const int bvar = basis_[i];
@@ -1245,10 +1206,10 @@ private:
       }
 
       // Apply the step to the basic values (only w's support moves).
-      if (hyper_) {
-        for (const int i : w_nz_) xb_[i] -= dir * t_best * w_[i];
-      } else {
+      if (dense_) {
         for (int i = 0; i < m_; ++i) xb_[i] -= dir * t_best * w_[i];
+      } else {
+        for (const int i : w_nz_) xb_[i] -= dir * t_best * w_[i];
       }
 
       if (leave < 0) {
@@ -1277,8 +1238,7 @@ private:
 
       if (dense_) {
         update_binv(leave, w_);
-      } else if (hyper_ ? !lu_.update(leave, a_.w, opt_.pivot_tol)
-                        : !lu_.update(leave, w_, opt_.pivot_tol)) {
+      } else if (!lu_.update(leave, a_.w, opt_.pivot_tol)) {
         // The ratio test guarantees a usable pivot, so this is a pure
         // numerical-drift escape hatch: rebuild from the updated basis.
         if (!refactor()) return SolveStatus::NumericalError;
@@ -1518,11 +1478,11 @@ private:
   std::vector<double>& scratch_;
   std::vector<double>& y_;
   std::vector<double>& w_;       // FTRAN image values (arena.w.values)
-  std::vector<int>& w_nz_;       // its support when hyper_ (arena.w.pattern)
+  std::vector<int>& w_nz_;       // its support, sparse path (arena.w.pattern)
   std::vector<double>& rho_;     // pricing row values (arena.rho.values)
   std::vector<int>& rho_nz_;     // its support (arena.rho.pattern)
   std::vector<double>& r_;
-  SolveScratch& hs_;             // hypersparse reach-set workspace
+  SolveScratch& hs_;             // reach-set workspace (sparse path)
   std::vector<double>& d_;       // incremental reduced costs
   std::vector<double>& weights_; // Devex reference weights
   std::vector<double>& alpha_;   // pivot-row scatter (kept all-zero between uses)
@@ -1534,13 +1494,9 @@ private:
   bool cache_hit_ = false;
 
   bool dense_ = false;  ///< Factorization::DenseInverse baseline path
-  bool hyper_ = false;  ///< reach-set basis solves on the sparse path
-  Pricing rule_ = Pricing::SteepestEdge;
   int n_ = 0, m_ = 0, total_ = 0;
-  int window_ = 0;           ///< partial-pricing window size
+  int window_ = 0;           ///< refill/phase-1 window: max(64, (n+m)/16)
   int phase1_cursor_ = 0;    ///< cycling cursor of the phase-1 window scan
-  std::size_t cand_cap_ = 0; ///< steepest-edge candidate-list cap
-  int partial_cursor_ = 0;
   int refill_cursor_ = 0;    ///< cycling cursor of the candidate refill scan
 
   double rhs_scale_ = 1.0;

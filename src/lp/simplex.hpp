@@ -20,14 +20,18 @@
 //   * feasibility is restored in phase 1 by per-row artificial columns
 //     (+/- e_i) minimized to zero, after which their bounds collapse to
 //     [0,0] and phase 2 optimizes the true objective;
-//   * pricing is pluggable (SimplexOptions::pricing). Dantzig full-scan
+//   * every sparse-path basis solve in the pivot loop (entering-column
+//     FTRAN, pricing-row BTRAN, eta append) takes the hypersparse
+//     reach-set route of lp/basis_lu.hpp, which falls back to the dense
+//     sweeps only past a fixed density cutoff;
+//   * pricing has two rules (SimplexOptions::pricing). Dantzig full-scan
 //     pricing — one BTRAN plus a dot product per column per iteration —
-//     is kept as the oracle rule; the fast rules (partial pricing with a
-//     cycling candidate window, and steepest-edge with Devex-style
-//     reference weights) maintain the whole reduced-cost vector
-//     incrementally from the pivot row, so an iteration costs O(fill)
-//     instead of O(rows x cols). Every rule switches to Bland's rule
-//     after a long degenerate stall, which guarantees termination.
+//     is kept as the oracle rule; steepest-edge with Devex-style
+//     reference weights (the default) maintains the reduced-cost vector
+//     incrementally from the pivot row over a capped candidate list, so
+//     an iteration costs O(fill) instead of O(rows x cols). Both rules
+//     switch to Bland's rule after a long degenerate stall, which
+//     guarantees termination.
 //
 // This is the LP engine behind every rational relaxation in the paper
 // (the "LP" upper-bound comparator and the LPR/LPRG/LPRR heuristics).
@@ -58,20 +62,15 @@ enum class Factorization : unsigned char {
 
 /// Entering-variable selection rule.
 enum class Pricing : unsigned char {
-  Auto,     ///< currently SteepestEdge (the measured fastest; may re-gate)
   /// Full scan with freshly computed reduced costs every iteration (one
   /// BTRAN + one dot product per column). The reference oracle: slowest,
-  /// simplest, and the rule every other rule is equivalence-tested
-  /// against.
+  /// simplest, and the rule SteepestEdge is equivalence-tested against.
   Dantzig,
-  /// Dantzig scores over an incrementally maintained reduced-cost
-  /// vector, scanned through a cycling candidate window of
-  /// `partial_window` columns per iteration.
-  Partial,
-  /// Steepest-edge with Devex reference weights: picks the entering
-  /// variable maximizing d_j^2 / w_j, with the weights updated per pivot
-  /// from the pivot row. Cuts both the per-iteration cost (incremental
-  /// reduced costs, candidate-list scan) and the pivot count.
+  /// Steepest-edge with Devex reference weights (default): picks the
+  /// entering variable maximizing d_j^2 / w_j, with the weights updated
+  /// per pivot from the pivot row. Cuts both the per-iteration cost
+  /// (incremental reduced costs, candidate-list scan) and the pivot
+  /// count.
   SteepestEdge,
 };
 
@@ -107,38 +106,8 @@ struct SimplexOptions {
   /// the dense inverse (measured faster up to K~16 platforms, m <= ~100);
   /// larger bases use the sparse LU.
   int dense_crossover_rows = 112;
-  /// Hypersparse (reach-set) basis solves on the sparse path: the
-  /// FTRAN of the entering column, the BTRAN of the pricing unit vector
-  /// and the eta append run a Gilbert–Peierls symbolic pass first and
-  /// touch only the solution's support, instead of sweeping all m rows.
-  /// Pivot sequences and optima are bit-identical either way; disable
-  /// only to measure the dense-pass baseline (bench/lp_scaling's
-  /// no-hypersparse arm).
-  bool hypersparse = true;
-  /// Reach-set density cutoff: a symbolic pass that reaches more than
-  /// this fraction of the elimination steps abandons the sparse solve
-  /// and falls back to the dense pass for the remaining stages (the
-  /// sort/scatter bookkeeping would cost more than the straight sweep).
-  /// 1.0 never falls back; 0.0 always takes the dense pass. The default
-  /// is deliberately strict: on the bench federations the dense sweeps
-  /// win from a few percent density up, so only genuinely tiny reaches
-  /// should stay on the sparse route.
-  double hypersparse_crossover = 0.03;
-  /// Entering-variable rule; Auto currently resolves to SteepestEdge.
-  Pricing pricing = Pricing::Auto;
-  /// Partial pricing window (columns scanned per iteration before the
-  /// cursor cycles on). 0 = automatic: max(64, total columns / 16).
-  int partial_window = 0;
-  /// Steepest-edge candidate cap: every pricing refresh keeps only the
-  /// strongest this-many candidates (by reduced-cost magnitude, with the
-  /// cutoff binade truncated in index order to land exactly on the cap),
-  /// which bounds the per-pivot scan and update cost on wide models.
-  /// Columns left off the list go stale until a windowed refill (a dry
-  /// list triggers one before any full-width refresh) or the fresh
-  /// confirmation pass that gates optimality brings them back. 0 =
-  /// automatic (currently a flat 512 — per-pivot cost beats the extra
-  /// refills on every width we benchmark); negative = unbounded.
-  int se_candidate_cap = 0;
+  /// Entering-variable rule.
+  Pricing pricing = Pricing::SteepestEdge;
   /// Basis repair across constraint-matrix changes: when a warm capsule
   /// is rejected by the matrix fingerprint but its statuses still fit
   /// the model's shape, retry them as a statuses-only start against the
@@ -234,10 +203,9 @@ struct Solution {
   /// false). phase1_iterations > 0 with a warm kind means the composite
   /// bound phase 1 had to repair the restored basis first.
   WarmKind warm_kind = WarmKind::Cold;
-  /// What the Auto options actually resolved to, plus factorization
-  /// telemetry for bench/lp_scaling's per-rule columns.
+  /// What the Auto factorization resolved to, plus kernel telemetry for
+  /// bench/lp_scaling's per-rule columns.
   Factorization factorization_used = Factorization::SparseLu;
-  Pricing pricing_used = Pricing::Dantzig;
   int refactorizations = 0;      ///< basis rebuilds during the solve
   int pricing_refreshes = 0;     ///< full reduced-cost recomputations
   std::size_t eta_peak_nnz = 0;  ///< largest eta file reached between rebuilds

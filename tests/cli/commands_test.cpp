@@ -110,18 +110,6 @@ TEST(Cli, SimulatePolicies) {
   std::remove(path.c_str());
 }
 
-TEST(Cli, SimulateEngineSelection) {
-  const std::string path = make_platform_file();
-  for (const char* engine : {"incremental", "rescan"}) {
-    const CliRun r = run({"simulate", "--platform", path, "--sim-engine", engine,
-                          "--periods", "3"});
-    EXPECT_EQ(r.code, 0) << engine << ": " << r.err;
-    EXPECT_NE(r.out.find(std::string("engine ") + engine), std::string::npos);
-  }
-  EXPECT_EQ(run({"simulate", "--platform", path, "--sim-engine", "warp"}).code, 1);
-  std::remove(path.c_str());
-}
-
 TEST(Cli, SweepRunsCasesInParallel) {
   const CliRun r = run({"sweep", "--clusters", "4", "--cases", "3", "--jobs", "2",
                         "--seed", "5"});

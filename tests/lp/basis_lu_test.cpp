@@ -105,6 +105,27 @@ bool factorize(BasisLu& lu, const DenseMatrix& d) {
   return lu.factorize(d.m, col_ptr, rows, vals);
 }
 
+/// A dense FTRAN image in the SparseVector form BasisLu::update reads:
+/// the exact nonzeros, ascending, with +0.0 everywhere else.
+SparseVector to_sparse(const std::vector<double>& w) {
+  SparseVector v;
+  v.reset(static_cast<int>(w.size()));
+  for (int i = 0; i < static_cast<int>(w.size()); ++i) {
+    if (w[i] == 0.0) continue;
+    v.values[i] = w[i];
+    v.pattern.push_back(i);
+  }
+  return v;
+}
+
+/// Row `slot` of B^{-1}: the dense btran of the slot-space unit vector.
+std::vector<double> dense_btran_unit(const BasisLu& lu, int slot) {
+  std::vector<double> y(static_cast<std::size_t>(lu.dimension()), 0.0);
+  y[slot] = 1.0;
+  lu.btran(y);
+  return y;
+}
+
 TEST(BasisLu, FtranBtranMatchDenseReference) {
   Rng rng(101);
   for (int trial = 0; trial < 50; ++trial) {
@@ -156,7 +177,7 @@ TEST(BasisLu, EtaUpdatesMatchRefactorization) {
       std::vector<double> w = col;
       lu.ftran(w);
       if (std::fabs(w[r]) <= 1e-9) continue;  // would pivot on noise; skip
-      ASSERT_TRUE(lu.update(r, w, 1e-9));
+      ASSERT_TRUE(lu.update(r, to_sparse(w), 1e-9));
       for (int i = 0; i < m; ++i) d.at(i, r) = col[i];
 
       std::vector<double> b(m), ref;
@@ -210,7 +231,7 @@ TEST(BasisLu, UpdateRejectsTinyPivots) {
   for (int i = 0; i < 3; ++i) d.at(i, i) = 1.0;
   BasisLu lu;
   ASSERT_TRUE(factorize(lu, d));
-  std::vector<double> w = {1.0, 1e-12, 0.0};
+  const SparseVector w = to_sparse({1.0, 1e-12, 0.0});
   EXPECT_FALSE(lu.update(1, w, 1e-9));  // |w[1]| below pivot tolerance
   EXPECT_EQ(lu.eta_count(), 0);         // rejected update left no eta
   EXPECT_TRUE(lu.update(0, w, 1e-9));
@@ -279,7 +300,7 @@ TEST(BasisLu, HypersparseSolvesMatchDenseBitwise) {
       std::vector<double> w = col;
       lu.ftran(w);
       if (std::fabs(w[r]) <= 1e-9) continue;
-      ASSERT_TRUE(lu.update(r, w, 1e-9));
+      ASSERT_TRUE(lu.update(r, to_sparse(w), 1e-9));
     }
 
     SolveScratch ws;
@@ -305,11 +326,10 @@ TEST(BasisLu, HypersparseSolvesMatchDenseBitwise) {
       EXPECT_FALSE(st.fallback) << "trial " << trial;
       expect_hypersparse_matches(y, dense, "btran", trial);
     }
-    // Unit BTRAN against the legacy scan-collected row of B^{-1}.
+    // Unit BTRAN against the dense btran of e_slot (row `slot` of B^{-1}).
     {
       const int slot = static_cast<int>(rng.index(m));
-      std::vector<double> ref;
-      lu.btran_unit(slot, ref);
+      const std::vector<double> ref = dense_btran_unit(lu, slot);
       SparseVector y;
       y.reset(m);
       const BasisLu::SolveStats st = lu.btran_unit_sparse(slot, y, ws, 1.0);
@@ -347,8 +367,7 @@ TEST(BasisLu, CrossoverZeroForcesDenseFallback) {
     expect_hypersparse_matches(y, bdense, "btran fallback", trial);
 
     const int slot = static_cast<int>(rng.index(m));
-    std::vector<double> ref;
-    lu.btran_unit(slot, ref);
+    const std::vector<double> ref = dense_btran_unit(lu, slot);
     SparseVector u;
     u.reset(m);
     const BasisLu::SolveStats ust = lu.btran_unit_sparse(slot, u, ws, 0.0);
